@@ -1,20 +1,25 @@
 // Microbenchmarks (google-benchmark) for the geometric and storage kernels
 // on the query hot path: exact segment tests, trapezoid overlap times,
 // TimeSet maintenance, quadratic splits, node (de)serialization, the SoA
-// decode + batch-prune kernels (scalar vs AVX2), and the PDQ heap-pop
-// move-vs-copy regression guard.
+// decode + batch-prune kernels (scalar vs AVX2), the PDQ heap-pop
+// move-vs-copy regression guard, and the decoded-node-cache hit path at 1
+// and 3 threads (the scaling gate in tools/ci.sh).
 #include <benchmark/benchmark.h>
 
 #include <queue>
 
+#include "common/epoch.h"
 #include "common/metrics.h"
 #include "common/random.h"
 #include "geom/timeset.h"
 #include "geom/trajectory.h"
 #include "query/kernels.h"
 #include "rtree/node.h"
+#include "rtree/node_cache.h"
 #include "rtree/node_soa.h"
+#include "rtree/rtree.h"
 #include "rtree/split.h"
+#include "storage/page_file.h"
 
 namespace {
 
@@ -331,6 +336,60 @@ void BM_MetricsScopedTimer(benchmark::State& state) {
   SetMetricsEnabled(was_enabled);
 }
 
+// ---------------------------------------------------------------------------
+// Decoded-node-cache hits: RTree::LoadNodeSoa over a tree the cache holds
+// whole, every node once per iteration inside one read section (the shape
+// of a query call). Run at 1 and 3 threads on the same tree; items/s is
+// the aggregate rate. tools/ci.sh gates the 3-thread / 1-thread ratio: a
+// hit that takes a shared lock or writes a shared cache line does not
+// scale.
+
+struct CachedTreeFixture {
+  PageFile file;
+  std::unique_ptr<RTree> tree;
+  DecodedNodeCache cache{1 << 14};
+  std::vector<PageId> nodes;
+
+  CachedTreeFixture() {
+    tree = RTree::Create(&file, RTree::Options()).value();
+    Rng rng(17);
+    for (int i = 0; i < 20000; ++i) {
+      DQMO_CHECK_OK(tree->Insert(
+          MotionSegment(static_cast<ObjectId>(i), RandomSeg(&rng))));
+    }
+    DQMO_CHECK_OK(file.Publish());
+    tree->AttachNodeCache(&cache);
+    // Walk the tree once: collects every node id and warms the cache, so
+    // the timed loop sees hits only.
+    EpochGuard section;
+    QueryStats stats;
+    std::vector<PageId> frontier{tree->root()};
+    while (!frontier.empty()) {
+      const PageId id = frontier.back();
+      frontier.pop_back();
+      nodes.push_back(id);
+      const SoaNode* node = tree->LoadNodeSoa(id, &stats).value();
+      if (!node->is_leaf()) {
+        frontier.insert(frontier.end(), node->child.begin(),
+                        node->child.end());
+      }
+    }
+  }
+};
+
+void BM_NodeCacheHits(benchmark::State& state) {
+  static CachedTreeFixture* fixture = new CachedTreeFixture();
+  QueryStats stats;
+  for (auto _ : state) {
+    EpochGuard section;
+    for (PageId id : fixture->nodes) {
+      benchmark::DoNotOptimize(fixture->tree->LoadNodeSoa(id, &stats));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(fixture->nodes.size()));
+}
+
 }  // namespace
 
 BENCHMARK(BM_SegmentExactIntersect);
@@ -347,5 +406,6 @@ BENCHMARK(BM_PdqQueuePops)->Arg(0)->Arg(1);
 BENCHMARK(BM_MetricsCounterAdd)->Arg(0)->Arg(1);
 BENCHMARK(BM_MetricsHistogramRecord)->Arg(0)->Arg(1);
 BENCHMARK(BM_MetricsScopedTimer)->Arg(0)->Arg(1);
+BENCHMARK(BM_NodeCacheHits)->Threads(1)->Threads(3)->UseRealTime();
 
 BENCHMARK_MAIN();

@@ -49,50 +49,89 @@ uint64_t Histogram::BucketUpperBound(int b) {
   return (uint64_t{1} << b) - 1;
 }
 
+Histogram::~Histogram() {
+  for (auto& s : stripes_) delete s.load(std::memory_order_relaxed);
+}
+
+Histogram::Stripe* Histogram::AllocateStripe(uint32_t s) {
+  auto* fresh = new Stripe();
+  Stripe* expected = nullptr;
+  // Only the overflow stripe can race (its threads share it).
+  if (!stripes_[s].compare_exchange_strong(expected, fresh,
+                                           std::memory_order_acq_rel)) {
+    delete fresh;
+    return expected;
+  }
+  return fresh;
+}
+
 void Histogram::Record(uint64_t v) {
   if (!MetricsEnabled()) return;
+  const uint32_t s = internal::MetricStripe();
+  Stripe* st = stripes_[s].load(std::memory_order_acquire);
+  if (st == nullptr) st = AllocateStripe(s);
   const int b = BucketIndex(v);
-  buckets_[b].fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(v, std::memory_order_relaxed);
+  internal::StripeAdd(st->buckets[b], s, 1);
+  internal::StripeAdd(st->sum, s, v);
   // Exemplar: stamp the bucket with the recording thread's trace id so a
   // tail bucket can be joined back to a captured trace. One inline TLS
   // load; the store only happens inside an armed frame.
   const uint64_t trace_id = ActiveTraceId();
   if (trace_id != 0) exemplars_[b].store(trace_id, std::memory_order_relaxed);
-  // Running max via CAS: contended only while the maximum actually moves.
-  uint64_t seen = max_.load(std::memory_order_relaxed);
-  while (v > seen &&
-         !max_.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
+  uint64_t seen = st->max.load(std::memory_order_relaxed);
+  if (s < internal::kMetricStripes) {
+    if (v > seen) st->max.store(v, std::memory_order_relaxed);
+    return;
+  }
+  while (v > seen && !st->max.compare_exchange_weak(
+                         seen, v, std::memory_order_relaxed)) {
   }
 }
 
 HistogramSnapshot Histogram::Snapshot() const {
   HistogramSnapshot snap;
-  for (int b = 0; b < kNumBuckets; ++b) {
-    snap.buckets[b] = buckets_[b].load(std::memory_order_relaxed);
-    snap.exemplars[b] = exemplars_[b].load(std::memory_order_relaxed);
-    snap.count += snap.buckets[b];
+  for (const auto& slot : stripes_) {
+    const Stripe* st = slot.load(std::memory_order_acquire);
+    if (st == nullptr) continue;
+    for (int b = 0; b < kNumBuckets; ++b) {
+      const uint64_t n = st->buckets[b].load(std::memory_order_relaxed);
+      snap.buckets[b] += n;
+      snap.count += n;
+    }
+    snap.sum += st->sum.load(std::memory_order_relaxed);
+    snap.max = std::max(snap.max, st->max.load(std::memory_order_relaxed));
   }
-  snap.sum = sum_.load(std::memory_order_relaxed);
-  snap.max = max_.load(std::memory_order_relaxed);
+  for (int b = 0; b < kNumBuckets; ++b) {
+    snap.exemplars[b] = exemplars_[b].load(std::memory_order_relaxed);
+  }
   return snap;
 }
 
 uint64_t Histogram::count() const {
   uint64_t total = 0;
-  for (int b = 0; b < kNumBuckets; ++b) {
-    total += buckets_[b].load(std::memory_order_relaxed);
+  for (const auto& slot : stripes_) {
+    const Stripe* st = slot.load(std::memory_order_acquire);
+    if (st == nullptr) continue;
+    for (int b = 0; b < kNumBuckets; ++b) {
+      total += st->buckets[b].load(std::memory_order_relaxed);
+    }
   }
   return total;
 }
 
 void Histogram::ResetForTest() {
+  for (auto& slot : stripes_) {
+    Stripe* st = slot.load(std::memory_order_acquire);
+    if (st == nullptr) continue;
+    for (int b = 0; b < kNumBuckets; ++b) {
+      st->buckets[b].store(0, std::memory_order_relaxed);
+    }
+    st->sum.store(0, std::memory_order_relaxed);
+    st->max.store(0, std::memory_order_relaxed);
+  }
   for (int b = 0; b < kNumBuckets; ++b) {
-    buckets_[b].store(0, std::memory_order_relaxed);
     exemplars_[b].store(0, std::memory_order_relaxed);
   }
-  sum_.store(0, std::memory_order_relaxed);
-  max_.store(0, std::memory_order_relaxed);
 }
 
 HistogramSnapshot& HistogramSnapshot::Merge(const HistogramSnapshot& other) {

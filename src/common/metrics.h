@@ -11,10 +11,15 @@
 // exact node-accounting rule from the zero-copy hot path) against it.
 //
 // Cost model (the hot-path contract, enforced by tools/ci.sh):
-//  * Counters/gauges are single relaxed atomics; recording is one enabled
-//    check plus one fetch_add.
-//  * Histograms are arrays of relaxed atomic buckets — lock-free, safe to
-//    hammer from any number of threads, mergeable by element-wise addition.
+//  * Counters and histograms are striped per thread: each live thread
+//    records into its own cache-line-aligned stripe (indexed by the thread's
+//    dense record index, common/epoch.h) with a relaxed load and store, so
+//    recording takes no lock, no atomic read-modify-write, and writes no
+//    cache line another thread writes. Threads beyond the first
+//    kMetricStripes share one overflow stripe through fetch_add. Reads sum
+//    the stripes: exact whenever recorders are quiescent, and monotone
+//    while they run.
+//  * Gauges are single relaxed atomics (last write wins).
 //  * Everything is gated on MetricsEnabled(): with DQMO_METRICS=off the
 //    record paths reduce to one predictable branch and the timing helpers
 //    never touch the clock.
@@ -29,6 +34,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "common/epoch.h"
 
 namespace dqmo {
 
@@ -95,18 +102,69 @@ inline uint64_t TickNs() { return MetricsEnabled() ? NowNs() : 0; }
 // ---------------------------------------------------------------------------
 // Metric kinds.
 
-/// Monotonically increasing event count. Relaxed atomic: a statistic,
-/// never a synchronization mechanism (the IoStats rule).
+namespace internal {
+/// Threads with a record index below this own a stripe exclusively.
+inline constexpr uint32_t kMetricStripes = 16;
+
+/// The calling thread's stripe: its record index, or the shared overflow
+/// stripe kMetricStripes.
+inline uint32_t MetricStripe() {
+  const uint32_t i = ThisThreadRecord()->index;
+  return i < kMetricStripes ? i : kMetricStripes;
+}
+
+/// Adds `n` to `cell` of stripe `stripe`: a plain load and store on an
+/// exclusively owned stripe, fetch_add on the shared overflow stripe.
+inline void StripeAdd(std::atomic<uint64_t>& cell, uint32_t stripe,
+                      uint64_t n) {
+  if (stripe < kMetricStripes) {
+    cell.store(cell.load(std::memory_order_relaxed) + n,
+               std::memory_order_relaxed);
+  } else {
+    cell.fetch_add(n, std::memory_order_relaxed);
+  }
+}
+}  // namespace internal
+
+/// Ungated per-thread-striped event count (see the cost model above). For
+/// accounting that must stay exact with metrics off; registry metrics use
+/// Counter.
+class StripedCounter {
+ public:
+  void Add(uint64_t n = 1) {
+    const uint32_t s = internal::MetricStripe();
+    internal::StripeAdd(cells_[s].v, s, n);
+  }
+  uint64_t value() const {
+    uint64_t total = 0;
+    for (const Cell& c : cells_) total += c.v.load(std::memory_order_relaxed);
+    return total;
+  }
+  /// Requires quiescent recorders.
+  void Reset() {
+    for (Cell& c : cells_) c.v.store(0, std::memory_order_relaxed);
+  }
+
+ private:
+  struct alignas(64) Cell {
+    std::atomic<uint64_t> v{0};
+  };
+  Cell cells_[internal::kMetricStripes + 1];
+};
+
+/// Monotonically increasing event count: a StripedCounter behind the
+/// MetricsEnabled() gate. A statistic, never a synchronization mechanism
+/// (the IoStats rule).
 class Counter {
  public:
   void Add(uint64_t n = 1) {
-    if (MetricsEnabled()) value_.fetch_add(n, std::memory_order_relaxed);
+    if (MetricsEnabled()) cells_.Add(n);
   }
-  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void ResetForTest() { value_.store(0, std::memory_order_relaxed); }
+  uint64_t value() const { return cells_.value(); }
+  void ResetForTest() { cells_.Reset(); }
 
  private:
-  std::atomic<uint64_t> value_{0};
+  StripedCounter cells_;
 };
 
 /// Last-write-wins instantaneous value.
@@ -172,11 +230,17 @@ struct HistogramSnapshot {
   uint64_t ExemplarNear(double p) const;
 };
 
-/// Log-bucketed distribution (latencies in ns, depths, sizes). Lock-free:
-/// one relaxed fetch_add on the bucket, sum, and a CAS-free running max.
+/// Log-bucketed distribution (latencies in ns, depths, sizes). Striped
+/// per thread like Counter; a thread's stripe is allocated on its first
+/// record, so idle histograms cost only the stripe pointers.
 class Histogram {
  public:
   static constexpr int kNumBuckets = HistogramSnapshot::kNumBuckets;
+
+  Histogram() = default;
+  ~Histogram();
+  Histogram(const Histogram&) = delete;
+  Histogram& operator=(const Histogram&) = delete;
 
   /// Bucket index of `v`: 0 for 0, else bit_width(v) (1..64).
   static int BucketIndex(uint64_t v);
@@ -199,12 +263,19 @@ class Histogram {
   void ResetForTest();
 
  private:
-  std::atomic<uint64_t> buckets_[kNumBuckets] = {};
+  struct alignas(64) Stripe {
+    std::atomic<uint64_t> buckets[kNumBuckets] = {};
+    std::atomic<uint64_t> sum{0};
+    std::atomic<uint64_t> max{0};
+  };
+
+  Stripe* AllocateStripe(uint32_t s);
+
+  std::atomic<Stripe*> stripes_[internal::kMetricStripes + 1] = {};
   // Last trace id to land in each bucket (0: none). Plain relaxed store on
-  // record — an exemplar is a hint, not an invariant.
+  // record, and only from inside an armed (sampled) frame — an exemplar is
+  // a hint, not an invariant, so it is not striped.
   std::atomic<uint64_t> exemplars_[kNumBuckets] = {};
-  std::atomic<uint64_t> sum_{0};
-  std::atomic<uint64_t> max_{0};
 };
 
 /// Times one scope into a histogram. Skips the clock entirely when metrics

@@ -4,6 +4,7 @@
 #include <queue>
 
 #include "common/check.h"
+#include "common/epoch.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "common/trace.h"
@@ -114,6 +115,8 @@ Result<std::vector<Neighbor>> KnnAt(const RTree& tree, const Vec& point,
   std::vector<PageId> hint_scratch;
   const bool soa = options.hot_path == HotPath::kSoa;
 
+  // Nodes loaded below stay valid until this call returns.
+  EpochGuard read_section;
   Tracer::SpanScope heap_span(SpanKind::kHeapOp);
   MinHeap heap;
   heap.push(HeapEntry{0.0, false, tree.root(), StBox(), {}});
@@ -145,7 +148,7 @@ Result<std::vector<Neighbor>> KnnAt(const RTree& tree, const Vec& point,
     HintPrefetch(options, heap, &hint_scratch);
     if (soa) {
       DQMO_ASSIGN_OR_RETURN(
-          std::shared_ptr<const SoaNode> node,
+          const SoaNode* node,
           tree.LoadNodeSoaOrSkip(top.page, top.bounds, options.fault_policy,
                                  options.skip_report, stats,
                                  options.reader));

@@ -1,6 +1,7 @@
 #include "query/npdq.h"
 
 #include "common/check.h"
+#include "common/epoch.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "query/kernels.h"
@@ -105,7 +106,7 @@ Status NonPredictiveDynamicQuery::Visit(PageId pid, const StBox& entry_bounds,
     return Status::OK();  // Out of budget: prune, finish degraded.
   }
   DQMO_ASSIGN_OR_RETURN(
-      std::shared_ptr<const SoaNode> node,
+      const SoaNode* node,
       tree_->LoadNodeSoaOrSkip(pid, entry_bounds, options_.fault_policy,
                                &skip_report_, &stats_, options_.reader));
   if (node == nullptr) return Status::OK();  // Subtree skipped.
@@ -267,7 +268,11 @@ Result<std::vector<MotionSegment>> NonPredictiveDynamicQuery::Execute(
       stats_.nodes_discarded.load(std::memory_order_relaxed);
   std::vector<MotionSegment> out;
   skip_report_.Reset();
-  DQMO_RETURN_IF_ERROR(Visit(tree_->root(), StBox(), q, 0, &out));
+  {
+    // The recursion holds every ancestor node until this call returns.
+    EpochGuard read_section;
+    DQMO_RETURN_IF_ERROR(Visit(tree_->root(), StBox(), q, 0, &out));
+  }
   prev_ = q;
   prev_stamp_ = tree_->stamp();
   if (MetricsEnabled()) {

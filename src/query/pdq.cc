@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/epoch.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "common/trace.h"
@@ -150,7 +151,7 @@ Status PredictiveDynamicQuery::Explore(const Item& node_item,
     return ExploreLegacy(node_item, t_start);
   }
   DQMO_ASSIGN_OR_RETURN(
-      std::shared_ptr<const SoaNode> node,
+      const SoaNode* node,
       tree_->LoadNodeSoaOrSkip(node_item.page, node_item.bounds,
                                options_.fault_policy, &skip_report_, &stats_,
                                options_.reader));
@@ -209,6 +210,8 @@ Status PredictiveDynamicQuery::ExploreLegacy(const Item& node_item,
 
 Result<std::optional<PdqResult>> PredictiveDynamicQuery::GetNext(
     double t_start, double t_end) {
+  // Nodes loaded by Explore stay valid until this call returns.
+  EpochGuard read_section;
   if (t_start > t_end) {
     return Status::InvalidArgument("t_start must be <= t_end");
   }

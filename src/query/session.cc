@@ -1,6 +1,7 @@
 #include "query/session.h"
 
 #include "common/check.h"
+#include "common/epoch.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
 
@@ -115,6 +116,8 @@ Result<DynamicQuerySession::FrameResult> DynamicQuerySession::OnFrame(
   }
   const double t0 = last_t_ == -kInf ? t : last_t_;
   last_t_ = t;
+  // One read section for the whole frame: the PDQ/NPDQ calls below nest.
+  EpochGuard read_section;
 
   FrameResult result;
 

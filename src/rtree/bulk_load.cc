@@ -132,6 +132,7 @@ Result<std::unique_ptr<RTree>> BulkLoad(PageStore* file,
     ++level;
   }
   tree->root_ = level_entries.front().child;
+  tree->root_bounds_ = level_entries.front().bounds;
   tree->height_ = level;
   tree->num_segments_ = segments.size();
   DQMO_RETURN_IF_ERROR(tree->Flush());

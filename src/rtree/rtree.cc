@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/check.h"
+#include "common/epoch.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "common/trace.h"
@@ -135,6 +136,7 @@ Result<std::unique_ptr<RTree>> RTree::Create(PageStore* file,
   root.dims = options.dims;
   root.stamp = 0;
   DQMO_RETURN_IF_ERROR(tree->StoreNode(&root));
+  tree->root_bounds_ = root.ComputeBounds();
   tree->height_ = 1;
   tree->num_nodes_ = 1;
   DQMO_RETURN_IF_ERROR(tree->WriteMeta());
@@ -168,6 +170,7 @@ Result<std::unique_ptr<RTree>> RTree::Open(PageStore* file) {
   tree->stamp_ = meta.stamp;
   tree->max_speed_ = meta.max_speed;
   tree->applied_lsn_ = meta.wal_lsn;
+  tree->RefreshRootBounds();
   return tree;
 }
 
@@ -200,6 +203,7 @@ Status RTree::Reopen() {
   // either side of the reload.
   stamp_ = std::max(stamp_, meta.stamp) + 1;
   pending_ = PendingNotice{};
+  RefreshRootBounds();
   return Status::OK();
 }
 
@@ -272,10 +276,12 @@ Result<std::optional<Node>> RTree::LoadNodeOrSkip(
   return std::optional<Node>(std::nullopt);
 }
 
-Result<std::shared_ptr<const SoaNode>> RTree::LoadNodeSoa(
-    PageId id, QueryStats* stats, PageReader* reader) const {
+Result<const SoaNode*> RTree::LoadNodeSoa(PageId id, QueryStats* stats,
+                                          PageReader* reader) const {
+  // A node handed out below lives only as long as the caller's section.
+  DQMO_CHECK(InEpochSection());
   if (node_cache_ != nullptr) {
-    std::shared_ptr<const SoaNode> cached = node_cache_->Lookup(id);
+    const SoaNode* cached = node_cache_->Lookup(id);
     if (cached != nullptr) {
       if (stats != nullptr) {
         stats->decoded_hits.fetch_add(1, std::memory_order_relaxed);
@@ -294,27 +300,29 @@ Result<std::shared_ptr<const SoaNode>> RTree::LoadNodeSoa(
     nm.loads->Add();
     (read.physical ? nm.physical : nm.pooled)->Add();
   }
-  auto node = std::make_shared<SoaNode>();
+  SoaNode node;
   {
     Tracer::SpanScope decode_span(SpanKind::kSoaDecode, id);
-    DQMO_RETURN_IF_ERROR(node->DecodeFrom(read.data, id));
+    DQMO_RETURN_IF_ERROR(node.DecodeFrom(read.data, id));
   }
   if (stats != nullptr && read.physical) {
     stats->node_reads.fetch_add(1, std::memory_order_relaxed);
-    if (node->is_leaf()) {
+    if (node.is_leaf()) {
       stats->leaf_reads.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  std::shared_ptr<const SoaNode> result = std::move(node);
-  if (node_cache_ != nullptr) node_cache_->Insert(id, result);
-  return result;
+  if (node_cache_ != nullptr) return node_cache_->Insert(id, std::move(node));
+  // No cache to own it: the caller's read section does.
+  auto* owned = new SoaNode(std::move(node));
+  DeferUntilSectionExit(owned,
+                        [](void* p) { delete static_cast<SoaNode*>(p); });
+  return static_cast<const SoaNode*>(owned);
 }
 
-Result<std::shared_ptr<const SoaNode>> RTree::LoadNodeSoaOrSkip(
+Result<const SoaNode*> RTree::LoadNodeSoaOrSkip(
     PageId id, const StBox& entry_bounds, FaultPolicy policy,
     SkipReport* report, QueryStats* stats, PageReader* reader) const {
-  Result<std::shared_ptr<const SoaNode>> node =
-      LoadNodeSoa(id, stats, reader);
+  Result<const SoaNode*> node = LoadNodeSoa(id, stats, reader);
   if (node.ok()) return node;
   const Status& s = node.status();
   // Same skippability rule as LoadNodeOrSkip: only read failures are
@@ -325,12 +333,15 @@ Result<std::shared_ptr<const SoaNode>> RTree::LoadNodeSoaOrSkip(
   if (stats != nullptr) {
     stats->pages_skipped.fetch_add(1, std::memory_order_relaxed);
   }
-  return std::shared_ptr<const SoaNode>(nullptr);
+  return static_cast<const SoaNode*>(nullptr);
 }
 
-Result<StBox> RTree::RootBounds() const {
-  DQMO_ASSIGN_OR_RETURN(Node root, LoadNode(root_, nullptr));
-  return root.ComputeBounds();
+void RTree::RefreshRootBounds() {
+  // An unreadable root is kept as the error RootBounds() reports, so a
+  // caller that prunes by bounds lets the traversal surface the fault.
+  Result<Node> root = LoadForWrite(root_);
+  root_bounds_ = root.ok() ? Result<StBox>(root->ComputeBounds())
+                           : Result<StBox>(root.status());
 }
 
 void RTree::AddListener(UpdateListener* listener) {
@@ -505,9 +516,12 @@ Status RTree::Insert(const MotionSegment& m) {
     new_root.children.push_back(*outcome.new_sibling);
     DQMO_RETURN_IF_ERROR(StoreNode(&new_root));
     root_ = new_root.self;
+    root_bounds_ = new_root.ComputeBounds();
     ++height_;
     ++num_nodes_;
     pending_.root_split = true;
+  } else {
+    root_bounds_ = outcome.updated_entry.bounds;
   }
   ++num_segments_;
 
@@ -641,7 +655,10 @@ Status RTree::Remove(const MotionSegment& m) {
   for (;;) {
     QueryStats scratch;
     DQMO_ASSIGN_OR_RETURN(Node root, LoadNode(root_, &scratch));
-    if (root.is_leaf() || root.count() != 1) break;
+    if (root.is_leaf() || root.count() != 1) {
+      root_bounds_ = root.ComputeBounds();
+      break;
+    }
     const PageId only_child = root.children.front().child;
     FreePage(root_);
     --num_nodes_;

@@ -78,8 +78,8 @@ class RTree {
   /// build (tree, reader, gate) stays valid. Must be called with the
   /// shard's exclusive gate held — no traversal may be in flight. The
   /// update stamp is forced strictly past both the in-memory and persisted
-  /// stamps so stamp-keyed caches (router BoundsCache, NPDQ discard prune)
-  /// can never mistake post-repair state for pre-repair state.
+  /// stamps so stamp-keyed state (the NPDQ discard prune) can never mistake
+  /// post-repair state for pre-repair state.
   Status Reopen();
 
   RTree(const RTree&) = delete;
@@ -168,19 +168,24 @@ class RTree {
 
   /// Zero-copy variant of LoadNode: returns the decoded SoA form of node
   /// `id`. When a decoded-node cache is attached, a cache hit skips the
-  /// page store entirely (charged to stats->decoded_hits, not node_reads);
-  /// a miss reads through `reader` (or the backing file), decodes once, and
-  /// populates the cache. The returned node is immutable and pinned by the
-  /// shared_ptr — safe across concurrent eviction and invalidation.
-  Result<std::shared_ptr<const SoaNode>> LoadNodeSoa(
-      PageId id, QueryStats* stats, PageReader* reader = nullptr) const;
+  /// page store entirely (charged to stats->decoded_hits, not node_reads)
+  /// and takes no lock; a miss reads through `reader` (or the backing
+  /// file), decodes once, and populates the cache. The returned node is
+  /// immutable and not owned by the caller: it stays valid until the
+  /// caller's outermost EpochGuard closes (common/epoch.h), whatever
+  /// concurrent eviction or invalidation does. Requires InEpochSection().
+  Result<const SoaNode*> LoadNodeSoa(PageId id, QueryStats* stats,
+                                     PageReader* reader = nullptr) const;
 
   /// LoadNodeSoa with the degraded-result handling of LoadNodeOrSkip:
   /// under kSkipSubtree an unreadable node yields nullptr (skip recorded in
   /// `report` / stats->pages_skipped) so the caller prunes the subtree.
-  Result<std::shared_ptr<const SoaNode>> LoadNodeSoaOrSkip(
-      PageId id, const StBox& entry_bounds, FaultPolicy policy,
-      SkipReport* report, QueryStats* stats, PageReader* reader) const;
+  Result<const SoaNode*> LoadNodeSoaOrSkip(PageId id,
+                                           const StBox& entry_bounds,
+                                           FaultPolicy policy,
+                                           SkipReport* report,
+                                           QueryStats* stats,
+                                           PageReader* reader) const;
 
   /// Decoded-node cache hook (not owned; pass nullptr to detach). Every
   /// page write or free invalidates the attached cache's entry, so cached
@@ -188,8 +193,11 @@ class RTree {
   void AttachNodeCache(DecodedNodeCache* cache) { node_cache_ = cache; }
   DecodedNodeCache* node_cache() const { return node_cache_; }
 
-  /// Bounding rectangle of the entire tree (loads the root; uncharged).
-  Result<StBox> RootBounds() const;
+  /// Bounding rectangle of the entire tree: the cover of the root's
+  /// entries, kept current by every mutation and read from the root page
+  /// only at Open/Reopen, so this call reads no page. Writers update it
+  /// under the exclusive gate; readers call it under the shared gate.
+  Result<StBox> RootBounds() const { return root_bounds_; }
 
   /// Writes the metadata page. Call before PageFile::SaveTo.
   Status Flush();
@@ -269,6 +277,8 @@ class RTree {
   Status StoreNode(Node* node) const;
 
   Status WriteMeta();
+  /// Recomputes root_bounds_ from the root page (open, reopen).
+  void RefreshRootBounds();
   static Result<Options> ReadMeta(PageStore* file, PageId* root, int* height,
                                   uint64_t* num_segments, size_t* num_nodes,
                                   UpdateStamp* stamp);
@@ -289,6 +299,9 @@ class RTree {
   Options options_;
   PageId meta_page_ = 0;
   PageId root_ = kInvalidPageId;
+  /// Cover of the root's entries, or the error reading the root; see
+  /// RootBounds().
+  Result<StBox> root_bounds_{StBox()};
   int height_ = 1;
   uint64_t num_segments_ = 0;
   size_t num_nodes_ = 0;

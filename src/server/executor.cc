@@ -159,6 +159,10 @@ TreeGate::WriteGuard::~WriteGuard() {
         if (gate_->node_cache_ != nullptr) gate_->node_cache_->Invalidate(id);
       }
     }
+    // No reader of this tree is inside a read section now, so the decodes
+    // just dropped are freed unless a reader of another tree holds an
+    // older epoch.
+    if (gate_->node_cache_ != nullptr) gate_->node_cache_->Reclaim();
     gate_->file_->SealAllDirty();
   }
   // Durability handover: drain the batched redo records before readers

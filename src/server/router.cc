@@ -90,29 +90,15 @@ void SortStreamByEntryTime(std::vector<MotionSegment>* stream) {
                    });
 }
 
-/// Per-shard root-bounds cache for the NPDQ fan-out prune, refreshed when
-/// the shard's update stamp moves (inserts; removals only shrink bounds,
-/// so a stale cover stays conservative).
-struct BoundsCache {
-  UpdateStamp stamp = 0;
-  bool valid = false;
-  StBox bounds;
-};
-
 /// True iff the shard provably contributes nothing to `q`: empty tree, or
-/// root bounds (a cover of every stored match box) disjoint from q. Called
-/// under the shard's shared gate.
-bool CanPruneShard(RTree* tree, BoundsCache* cache, const StBox& q) {
+/// root bounds (a cover of every stored match box, kept by the tree
+/// without a page read) disjoint from q. Called under the shard's shared
+/// gate.
+bool CanPruneShard(const RTree* tree, const StBox& q) {
   if (tree->num_segments() == 0) return true;
-  const UpdateStamp stamp = tree->stamp();
-  if (!cache->valid || cache->stamp != stamp) {
-    auto bounds = tree->RootBounds();
-    if (!bounds.ok()) return false;  // Let the traversal surface the error.
-    cache->bounds = *bounds;
-    cache->stamp = stamp;
-    cache->valid = true;
-  }
-  return !cache->bounds.Overlaps(q);
+  const Result<StBox> bounds = tree->RootBounds();
+  if (!bounds.ok()) return false;  // Let the traversal surface the error.
+  return !bounds->Overlaps(q);
 }
 
 /// Per-frame breaker bookkeeping shared by the three runners. StartFrame
@@ -423,7 +409,6 @@ void RunShardedNpdq(ShardedEngine* engine, const SessionSpec& spec,
   out->shard_stats.resize(static_cast<size_t>(n));
   out->shard_skips.resize(static_cast<size_t>(n));
 
-  std::vector<BoundsCache> bounds(static_cast<size_t>(n));
   std::vector<std::vector<MotionSegment>> streams(static_cast<size_t>(n));
   double prev_t = spec.t0;
   for (int i = 1; i <= spec.frames; ++i) {
@@ -465,7 +450,7 @@ void RunShardedNpdq(ShardedEngine* engine, const SessionSpec& spec,
       const size_t si = static_cast<size_t>(s);
       streams[si].clear();
       if (options.spatial_prune &&
-          CanPruneShard(engine->shard(s).tree, &bounds[si], q)) {
+          CanPruneShard(engine->shard(s).tree, q)) {
         // The shard provably matches nothing; install q as its previous
         // snapshot so later deltas stay exact.
         npdq[si]->NoteSkippedSnapshot(q);

@@ -1,11 +1,14 @@
 #include "storage/page_file.h"
 
+#include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
 
+#include "common/check.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "storage/fault.h"
@@ -76,8 +79,24 @@ inline void StoreFlag(std::vector<uint8_t>& flags, PageId id, uint8_t v) {
 
 }  // namespace
 
+void PageFile::ChunkUnmapper::operator()(uint8_t* p) const {
+  ::munmap(p, kChunkBytes);
+}
+
+void PageFile::ReserveChunks(size_t num_pages) {
+  while (chunks_.size() * kChunkPages < num_pages) {
+    // Anonymous mappings, not malloc: zero pages stay unbacked until
+    // written, and a freed chunk goes back to the OS at once whatever
+    // malloc's mmap threshold has grown to.
+    void* chunk = ::mmap(nullptr, kChunkBytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    DQMO_CHECK(chunk != MAP_FAILED);
+    chunks_.emplace_back(static_cast<uint8_t*>(chunk));
+  }
+}
+
 void PageFile::MoveFrom(PageFile& other) {
-  bytes_ = std::move(other.bytes_);
+  chunks_ = std::move(other.chunks_);
   dirty_ = std::move(other.dirty_);
   verified_ = std::move(other.verified_);
   dirty_pages_ = std::move(other.dirty_pages_);
@@ -106,7 +125,7 @@ Status PageFile::CheckWritable() const {
 }
 
 PageId PageFile::Allocate() {
-  bytes_.resize(bytes_.size() + kPageSize, 0);
+  ReserveChunks(num_pages_ + 1);  // Fresh chunks are zeroed.
   dirty_.push_back(1);  // Zeroed page: trailer not yet a valid checksum.
   verified_.push_back(0);
   const PageId id = static_cast<PageId>(num_pages_++);
@@ -254,10 +273,12 @@ Status PageFile::SaveTo(const std::string& path) {
     if (std::fwrite(&header, sizeof(header), 1, f.get()) != 1) {
       return Status::IOError("short header write to " + tmp);
     }
-    if (num_pages_ > 0 &&
-        std::fwrite(bytes_.data(), kPageSize, num_pages_, f.get()) !=
-            num_pages_) {
-      return Status::IOError("short page write to " + tmp);
+    for (size_t first = 0; first < num_pages_; first += kChunkPages) {
+      const size_t n = std::min(kChunkPages, num_pages_ - first);
+      if (std::fwrite(chunks_[first / kChunkPages].get(), kPageSize, n,
+                      f.get()) != n) {
+        return Status::IOError("short page write to " + tmp);
+      }
     }
     if (std::fflush(f.get()) != 0) {
       return Status::IOError("fflush failed on " + tmp);
@@ -279,22 +300,22 @@ Status PageFile::LoadFrom(const std::string& path,
   // Stream the image through the shared loader: checksums are verified
   // page-at-a-time as pages arrive, so a corrupt page fails the load after
   // O(1) extra memory (the loader's single page buffer), not after the
-  // whole image has been materialized. The destination vector is still
-  // sized up front from the validated header — PageFile is the in-memory
+  // whole image has been materialized. The destination chunks are still
+  // allocated up front from the validated header — PageFile is the in-memory
   // backend — but verification no longer depends on that residency; the
   // same loader backs DiskPageFile and the tool's bounded-memory scrub.
-  std::vector<uint8_t> bytes;
+  PageFile loaded;
   bool legacy = false;
   StreamPgfOptions stream;
   stream.verify_checksums = options.verify_checksums;
   stream.on_header = [&](const PgfHeader& header) {
     legacy = header.version == kPgfVersionLegacy;
-    bytes.resize(header.num_pages * kPageSize);
+    loaded.ReserveChunks(header.num_pages);
     return Status::OK();
   };
   auto streamed = StreamPgfPages(
       path, stream, [&](uint64_t id, const uint8_t* page) {
-        uint8_t* dst = bytes.data() + id * kPageSize;
+        uint8_t* dst = loaded.PageData(static_cast<PageId>(id));
         std::memcpy(dst, page, kPageSize);
         // v1 pages carry no checksum; their trailer bytes were zeroed
         // slack. Seal them in memory so subsequent reads verify uniformly.
@@ -305,7 +326,7 @@ Status PageFile::LoadFrom(const std::string& path,
     if (streamed.status().IsCorruption()) ++stats_.checksum_failures;
     return streamed.status();
   }
-  bytes_ = std::move(bytes);
+  chunks_ = std::move(loaded.chunks_);
   num_pages_ = streamed.value().header.num_pages;
   dirty_.assign(num_pages_, 0);
   dirty_pages_.clear();

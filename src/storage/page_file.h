@@ -21,6 +21,7 @@
 #ifndef DQMO_STORAGE_PAGE_FILE_H_
 #define DQMO_STORAGE_PAGE_FILE_H_
 
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -63,8 +64,10 @@ class PageFile : public PageStore {
     return *this;
   }
 
-  /// Appends a zeroed page and returns its id. Requires exclusion from
-  /// concurrent readers (page storage may reallocate).
+  /// Appends a zeroed page and returns its id. Pages live in fixed-size
+  /// chunks that are never moved, so a page's address (and every pointer a
+  /// Read returned) stays valid across later Allocate calls. Requires
+  /// exclusion from concurrent readers (the flag vectors may reallocate).
   PageId Allocate() override;
 
   size_t num_pages() const override { return num_pages_; }
@@ -166,9 +169,21 @@ class PageFile : public PageStore {
   Status CheckId(PageId id) const;
   Status CheckWritable() const;
 
+  /// Pages per storage chunk (1 MiB chunks).
+  static constexpr size_t kChunkPages = 256;
+  static constexpr size_t kChunkBytes = kChunkPages * kPageSize;
+
+  struct ChunkUnmapper {
+    void operator()(uint8_t* p) const;
+  };
+  using Chunk = std::unique_ptr<uint8_t[], ChunkUnmapper>;
+
   uint8_t* PageData(PageId id) {
-    return bytes_.data() + static_cast<size_t>(id) * kPageSize;
+    return chunks_[id / kChunkPages].get() + (id % kChunkPages) * kPageSize;
   }
+
+  /// Appends zeroed chunks until `num_pages` pages fit.
+  void ReserveChunks(size_t num_pages);
 
   /// Recomputes the trailer of a page dirtied via WritableView. Safe under
   /// concurrent readers: the dirty flag is read atomically and sealing is
@@ -177,7 +192,10 @@ class PageFile : public PageStore {
 
   void MoveFrom(PageFile& other);
 
-  std::vector<uint8_t> bytes_;
+  /// Page bytes in chunks of kChunkPages pages; a chunk never moves.
+  /// Each chunk is an anonymous mapping, so untouched pages of the last
+  /// chunk stay unbacked.
+  std::vector<Chunk> chunks_;
   /// Per-page flags, accessed through std::atomic_ref on the read path.
   /// dirty_: page written in place via WritableView, trailer stale.
   /// verified_: checksum verified (or freshly computed) since the bytes

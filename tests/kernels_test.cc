@@ -19,6 +19,7 @@
 #include <set>
 #include <vector>
 
+#include "common/epoch.h"
 #include "common/random.h"
 #include "geom/trajectory.h"
 #include "query/kernels.h"
@@ -538,29 +539,32 @@ TEST(SimdDispatchTest, Avx2MatchesScalarOnSignedZerosAndBoundaries) {
 // ---------------------------------------------------------------------------
 // DecodedNodeCache unit behavior.
 
-std::shared_ptr<const SoaNode> MakeCachedNode(PageId id) {
-  auto node = std::make_shared<SoaNode>();
-  node->self = id;
-  node->level = 0;
+SoaNode MakeCachedNode(PageId id) {
+  SoaNode node;
+  node.self = id;
+  node.level = 0;
   return node;
 }
 
 TEST(DecodedNodeCacheTest, LookupInsertCountsHitsAndMisses) {
-  DecodedNodeCache cache(4, 1);
+  EpochGuard read_section;
+  DecodedNodeCache cache(4);
   EXPECT_EQ(cache.Lookup(5), nullptr);
   EXPECT_EQ(cache.misses(), 1u);
-  auto node = MakeCachedNode(5);
-  cache.Insert(5, node);
-  EXPECT_EQ(cache.Lookup(5).get(), node.get());
+  const SoaNode* node = cache.Insert(5, MakeCachedNode(5));
+  EXPECT_EQ(cache.Lookup(5), node);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.cached_nodes(), 1u);
 }
 
 TEST(DecodedNodeCacheTest, EvictsLeastRecentlyUsed) {
-  DecodedNodeCache cache(2, 1);  // One shard: deterministic LRU order.
+  // CLOCK gives a recently hit entry a second chance, so the entry that
+  // was not touched since insertion goes first, as under LRU.
+  EpochGuard read_section;
+  DecodedNodeCache cache(2);
   cache.Insert(1, MakeCachedNode(1));
   cache.Insert(2, MakeCachedNode(2));
-  ASSERT_NE(cache.Lookup(1), nullptr);  // 1 becomes most recent.
+  ASSERT_NE(cache.Lookup(1), nullptr);  // 1 becomes referenced.
   cache.Insert(3, MakeCachedNode(3));   // Evicts 2.
   EXPECT_EQ(cache.Lookup(2), nullptr);
   EXPECT_NE(cache.Lookup(1), nullptr);
@@ -569,7 +573,8 @@ TEST(DecodedNodeCacheTest, EvictsLeastRecentlyUsed) {
 }
 
 TEST(DecodedNodeCacheTest, InvalidateAndClearDropEntries) {
-  DecodedNodeCache cache(8, 2);
+  EpochGuard read_section;
+  DecodedNodeCache cache(8);
   for (PageId id = 1; id <= 6; ++id) cache.Insert(id, MakeCachedNode(id));
   cache.Invalidate(3);
   EXPECT_EQ(cache.Lookup(3), nullptr);
@@ -580,14 +585,22 @@ TEST(DecodedNodeCacheTest, InvalidateAndClearDropEntries) {
 }
 
 TEST(DecodedNodeCacheTest, HeldPointerSurvivesEviction) {
-  DecodedNodeCache cache(1, 1);
-  auto pinned = MakeCachedNode(11);
-  cache.Insert(11, pinned);
-  std::shared_ptr<const SoaNode> held = cache.Lookup(11);
-  cache.Insert(12, MakeCachedNode(12));  // Evicts 11.
-  EXPECT_EQ(cache.Lookup(11), nullptr);
-  ASSERT_NE(held, nullptr);
-  EXPECT_EQ(held->self, 11u);  // Refcount pinning: still readable.
+  DecodedNodeCache cache(1);
+  {
+    EpochGuard read_section;
+    cache.Insert(11, MakeCachedNode(11));
+    const SoaNode* held = cache.Lookup(11);
+    cache.Insert(12, MakeCachedNode(12));  // Evicts 11.
+    cache.Reclaim();  // This thread still reads: 11 must survive.
+    EXPECT_EQ(cache.Lookup(11), nullptr);
+    ASSERT_NE(held, nullptr);
+    EXPECT_EQ(held->self, 11u);  // Epoch pinning: still readable.
+    EXPECT_EQ(cache.retired_nodes(), 1u);
+  }
+  // Section closed: nothing holds 11 any more, so it is freed.
+  cache.Reclaim();
+  EXPECT_EQ(cache.retired_nodes(), 0u);
+  EXPECT_EQ(cache.cached_nodes(), 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <random>
 #include <thread>
@@ -186,6 +187,41 @@ TEST_F(MetricsTest, ConcurrentHistogramHammer) {
   EXPECT_EQ(snap.sum, expected_sum);
   EXPECT_EQ(snap.max, 4095u);
   EXPECT_EQ(c.value(), static_cast<uint64_t>(kThreads) * kPerThread);
+}
+
+TEST_F(MetricsTest, StripedRecordingIsExactPastTheExclusiveStripes) {
+  // More live threads than exclusive stripes: the extra threads share the
+  // overflow stripe through fetch_add, and every total stays exact.
+  constexpr int kThreads = static_cast<int>(internal::kMetricStripes) + 4;
+  constexpr int kPerThread = 5000;
+  Histogram h;
+  Counter c;
+  StripedCounter ungated;
+  std::atomic<int> started{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Keep every thread alive until all have claimed a record, so the
+      // indexes (and stripes) are distinct for the first kMetricStripes.
+      started.fetch_add(1);
+      while (started.load() < kThreads) std::this_thread::yield();
+      for (int i = 0; i < kPerThread; ++i) {
+        h.Record(static_cast<uint64_t>(t + 1));
+        c.Add(2);
+        ungated.Add();
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const uint64_t n = static_cast<uint64_t>(kThreads) * kPerThread;
+  const HistogramSnapshot snap = h.Snapshot();
+  EXPECT_EQ(snap.count, n);
+  EXPECT_EQ(h.count(), n);
+  EXPECT_EQ(snap.sum, static_cast<uint64_t>(kPerThread) * kThreads *
+                          (kThreads + 1) / 2);
+  EXPECT_EQ(snap.max, static_cast<uint64_t>(kThreads));
+  EXPECT_EQ(c.value(), 2 * n);
+  EXPECT_EQ(ungated.value(), n);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "rtree/bulk_load.h"
 #include "rtree/rtree.h"
 #include "storage/buffer_pool.h"
 #include "test_util.h"
@@ -187,6 +188,75 @@ TEST(RTreePersistenceTest, FlushSaveLoadOpenRoundTrip) {
     EXPECT_EQ(KeysOf((*tree)->RangeSearch(query, &stats).value()), expected);
   }
   std::remove(path.c_str());
+}
+
+/// RootBounds() must equal the cover recomputed from the root page, and
+/// answering it must not read a page.
+void ExpectRootBoundsExact(const RTree& tree, const PageFile& file,
+                           const std::string& where) {
+  const uint64_t reads0 = file.stats().physical_reads.load();
+  const Result<StBox> bounds = tree.RootBounds();
+  EXPECT_EQ(file.stats().physical_reads.load(), reads0) << where;
+  ASSERT_TRUE(bounds.ok()) << where;
+  QueryStats scratch;
+  auto root = tree.LoadNode(tree.root(), &scratch);
+  ASSERT_TRUE(root.ok()) << where;
+  EXPECT_EQ(*bounds, root->ComputeBounds()) << where;
+}
+
+TEST(RTreeRootBoundsTest, TrackMutationsWithoutPageReads) {
+  const std::string path =
+      std::string(::testing::TempDir()) + "/rtree_root_bounds.pgf";
+  Rng rng(808);
+  std::vector<MotionSegment> data = RandomSegments(&rng, 1200, 2, 100, 100);
+  PageFile file;
+  auto tree = MakeTree(&file);
+  ExpectRootBoundsExact(*tree, file, "empty");
+  int root_splits = 0;
+  for (size_t i = 0; i < data.size(); ++i) {
+    const int height = tree->height();
+    ASSERT_TRUE(tree->Insert(data[i]).ok());
+    if (tree->height() != height) ++root_splits;
+    if (i % 37 == 0 || tree->height() != height) {
+      ExpectRootBoundsExact(*tree, file, "insert " + std::to_string(i));
+    }
+  }
+  EXPECT_GE(root_splits, 1);
+  // Removes shrink the cover, condense nodes, and collapse the root.
+  for (size_t i = 0; i < data.size(); i += 2) {
+    ASSERT_TRUE(tree->Remove(data[i]).ok());
+    if (i % 74 == 0) {
+      ExpectRootBoundsExact(*tree, file, "remove " + std::to_string(i));
+    }
+  }
+  for (size_t i = 1; i + 2 < data.size(); i += 2) {
+    ASSERT_TRUE(tree->Remove(data[i]).ok());
+  }
+  EXPECT_EQ(tree->height(), 1);
+  ExpectRootBoundsExact(*tree, file, "drained");
+  // Reopen and open from a saved image.
+  ASSERT_TRUE(tree->Flush().ok());
+  ASSERT_TRUE(tree->Reopen().ok());
+  ExpectRootBoundsExact(*tree, file, "reopen");
+  ASSERT_TRUE(file.SaveTo(path).ok());
+  {
+    PageFile loaded;
+    ASSERT_TRUE(loaded.LoadFrom(path).ok());
+    auto opened = RTree::Open(&loaded);
+    ASSERT_TRUE(opened.ok());
+    ExpectRootBoundsExact(**opened, loaded, "open");
+  }
+  std::remove(path.c_str());
+  // Bulk load.
+  PageFile bulk_file;
+  BulkLoadOptions bulk;
+  auto bulk_tree = BulkLoad(&bulk_file, data, bulk);
+  ASSERT_TRUE(bulk_tree.ok());
+  EXPECT_GE((*bulk_tree)->height(), 2);
+  ExpectRootBoundsExact(**bulk_tree, bulk_file, "bulk load");
+  ASSERT_TRUE((*bulk_tree)->Insert(RandomSegments(&rng, 1, 2, 100, 100)[0])
+                  .ok());
+  ExpectRootBoundsExact(**bulk_tree, bulk_file, "bulk load + insert");
 }
 
 TEST(RTreePersistenceTest, OpenRejectsEmptyOrGarbage) {

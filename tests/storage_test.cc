@@ -117,6 +117,69 @@ TEST(PageFileTest, SaveAndLoadRoundTrips) {
   std::remove(path.c_str());
 }
 
+TEST(PageFileTest, ReadPointersSurviveAllocation) {
+  // Pages live in chunks that never move: a pointer from Read stays valid
+  // (and keeps its bytes) however many pages are appended after it. ASan
+  // reports any dangling read.
+  PageFile f;
+  const PageId id = f.Allocate();
+  uint8_t buf[kPageSize];
+  FillPage(buf, 0x5C);
+  ASSERT_TRUE(f.Write(id, buf).ok());
+  auto read = f.Read(id);
+  ASSERT_TRUE(read.ok());
+  const uint8_t* held = read->data;
+  for (int i = 0; i < 10000; ++i) f.Allocate();
+  EXPECT_EQ(f.num_pages(), 10001u);
+  EXPECT_EQ(std::memcmp(held, buf, kPagePayloadSize), 0);
+  auto again = f.Read(id);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->data, held);
+}
+
+TEST(PageFileTest, SaveLoadSaveIsByteIdentical) {
+  // Spans several storage chunks and ends inside a partial one.
+  const std::string a = TempPath("pf_identical_a.pgf");
+  const std::string b = TempPath("pf_identical_b.pgf");
+  PageFile f;
+  uint8_t buf[kPageSize];
+  for (int i = 0; i < 700; ++i) {
+    const PageId id = f.Allocate();
+    FillPage(buf, static_cast<uint8_t>(i * 7 + 1));
+    if (i % 3 != 0) {
+      ASSERT_TRUE(f.Write(id, buf).ok());
+    }
+  }
+  ASSERT_TRUE(f.SaveTo(a).ok());
+  PageFile g;
+  ASSERT_TRUE(g.LoadFrom(a).ok());
+  ASSERT_EQ(g.num_pages(), 700u);
+  ASSERT_TRUE(g.SaveTo(b).ok());
+  auto slurp = [](const std::string& path) {
+    std::vector<char> bytes;
+    std::FILE* fp = std::fopen(path.c_str(), "rb");
+    if (fp == nullptr) return bytes;
+    char chunk[4096];
+    size_t n;
+    while ((n = std::fread(chunk, 1, sizeof(chunk), fp)) > 0) {
+      bytes.insert(bytes.end(), chunk, chunk + n);
+    }
+    std::fclose(fp);
+    return bytes;
+  };
+  const std::vector<char> image_a = slurp(a);
+  EXPECT_EQ(image_a.size(), 24u + 700u * kPageSize);
+  EXPECT_EQ(image_a, slurp(b));
+  for (PageId id = 0; id < 700; ++id) {
+    auto fa = f.Read(id);
+    auto ga = g.Read(id);
+    ASSERT_TRUE(fa.ok() && ga.ok());
+    EXPECT_EQ(std::memcmp(fa->data, ga->data, kPageSize), 0) << id;
+  }
+  std::remove(a.c_str());
+  std::remove(b.c_str());
+}
+
 TEST(PageFileTest, LoadRejectsMissingFile) {
   PageFile f;
   EXPECT_TRUE(f.LoadFrom(TempPath("does_not_exist.pgf")).IsIOError());

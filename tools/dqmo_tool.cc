@@ -735,7 +735,7 @@ int RunStatsWorkload(const std::string& path, PageFile* file_ptr,
   // to a scratch WAL so sync latency is real), and concurrent sessions of
   // all three kinds. Every instrumented layer fires.
   BufferPool pool(&file, /*capacity_pages=*/512, /*num_shards=*/8);
-  DecodedNodeCache cache(/*capacity_nodes=*/256, /*num_shards=*/8);
+  DecodedNodeCache cache(/*capacity_nodes=*/256);
   tree->AttachNodeCache(&cache);
   const std::string wal_path = path + ".stats-wal";
   WalWriter wal;
