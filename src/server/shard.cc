@@ -440,9 +440,20 @@ Status ShardedEngine::BulkLoad(std::vector<MotionSegment> data) {
       return Status::InvalidArgument("BulkLoad requires empty shards");
     }
   }
+  // Each partition is sized exactly before it is filled. Grown by doubling,
+  // the partitions would leave as much freed scratch again behind them in
+  // the allocator's heap, and whether that scratch went back to the OS
+  // would depend on the allocator's trim heuristics, not on the engine.
+  std::vector<int> shard_of(data.size());
+  std::vector<size_t> counts(shards_.size(), 0);
+  for (size_t i = 0; i < data.size(); ++i) {
+    shard_of[i] = map_.ShardOf(data[i]);
+    ++counts[static_cast<size_t>(shard_of[i])];
+  }
   std::vector<std::vector<MotionSegment>> parts(shards_.size());
-  for (MotionSegment& m : data) {
-    parts[static_cast<size_t>(map_.ShardOf(m))].push_back(std::move(m));
+  for (size_t s = 0; s < parts.size(); ++s) parts[s].reserve(counts[s]);
+  for (size_t i = 0; i < data.size(); ++i) {
+    parts[static_cast<size_t>(shard_of[i])].push_back(std::move(data[i]));
   }
   data.clear();
   ShardMetrics::Get().inserts->Add(
